@@ -15,4 +15,5 @@ from repro.analysis.rules import (  # noqa: F401  (register on import)
     memmap,
     metric_names,
     spans,
+    unique,
 )

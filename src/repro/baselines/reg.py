@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.arrays import unique_sorted
 from repro.config import INDEX_DTYPE, rng_from
 from repro.baselines.metis import WeightedGraph
 from repro.errors import PartitioningError
@@ -45,7 +46,7 @@ def dependency_sets(blocks: list[Block]) -> list[np.ndarray]:
             collected = [rows]
             for r in rows:
                 collected.append(block.neighbor_positions(int(r)))
-            rows = np.unique(np.concatenate(collected))
+            rows = unique_sorted(np.concatenate(collected))
         result.append(rows)
     return result
 

@@ -425,14 +425,12 @@ class BuffaloTrainer:
                         }
                     )
             if oom_info is not None:
-                # Outside the except block the handled exception (and
-                # its traceback, which pins the failed iteration's
-                # activation graph in the device ledger) is released.
+                # Outside the except block the handled exception and its
+                # traceback are gone, and with them the frames that held
+                # the failed micro-batch's activation graph: refcounting
+                # has already returned those bytes to the device ledger.
                 last_oom = DeviceOutOfMemoryError(*oom_info)
                 del batch, blocks, plan, micro_batches, profiler
-                import gc
-
-                gc.collect()
                 if self.feature_cache is not None:
                     # Release cached rows: the retry recomputes the
                     # constraint from the device's real headroom, and

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.arrays import unique_sorted
 from repro.config import INDEX_DTYPE
 from repro.errors import SchedulingError
 from repro.gnn.block import Block
@@ -33,6 +34,7 @@ from repro.gnn.bucketing import Bucket
 from repro.gnn.footprint import (
     Footprint,
     ModelSpec,
+    degree_counts,
     input_feature_bytes,
     layer_footprint,
     training_peak_bytes,
@@ -104,10 +106,7 @@ class BucketMemEstimator:
         rows = np.asarray(bucket.rows, dtype=INDEX_DTYPE)
         for block in reversed(self.blocks):
             degrees = block.indptr[rows + 1] - block.indptr[rows]
-            uniq, counts = np.unique(degrees, return_counts=True)
-            histograms.append(
-                {int(d): int(c) for d, c in zip(uniq, counts)}
-            )
+            histograms.append(degree_counts(degrees))
             # Next layer's rows: the dst rows themselves (their hidden
             # states are inputs to the combine step) plus all gathered
             # neighbor positions; positions into src_nodes are row ids of
@@ -122,7 +121,7 @@ class BucketMemEstimator:
                     + np.arange(total, dtype=INDEX_DTYPE)
                 )
                 neighbor_positions = block.indices[flat_pos]
-                rows = np.unique(
+                rows = unique_sorted(
                     np.concatenate([rows, neighbor_positions])
                 )
             # Degree-0 rows keep only themselves.
@@ -169,17 +168,17 @@ class BucketMemEstimator:
         for block in reversed(self.blocks):
             degrees = block.indptr[rows + 1] - block.indptr[rows]
             # Per-segment degree histogram in one bincount.
-            max_d = int(degrees.max(initial=0))
-            keys = seg * (max_d + 1) + degrees
-            counts = np.bincount(keys, minlength=n_buckets * (max_d + 1))
-            for i in range(n_buckets):
-                hist = {}
-                base = i * (max_d + 1)
-                for d in range(max_d + 1):
-                    c = int(counts[base + d])
-                    if c:
-                        hist[d] = c
-                histograms[i].append(hist)
+            width = int(degrees.max(initial=0)) + 1
+            counts = np.bincount(
+                seg * width + degrees, minlength=n_buckets * width
+            ).reshape(n_buckets, width)
+            for per_layer in histograms:
+                per_layer.append({})
+            segs, ds = np.nonzero(counts)
+            for i, d, c in zip(
+                segs.tolist(), ds.tolist(), counts[segs, ds].tolist()
+            ):
+                histograms[i][-1][d] = c
 
             if degrees.sum() > 0:
                 total = int(degrees.sum())
@@ -192,18 +191,16 @@ class BucketMemEstimator:
                 )
                 nbr_positions = block.indices[flat_pos]
                 nbr_seg = np.repeat(seg, degrees)
-                combined = np.concatenate([rows, nbr_positions])
-                combined_seg = np.concatenate([seg, nbr_seg])
-                # Per-segment unique via one lexsort.
-                order = np.lexsort((combined, combined_seg))
-                combined = combined[order]
-                combined_seg = combined_seg[order]
-                keep = np.ones(combined.size, dtype=bool)
-                keep[1:] = (combined[1:] != combined[:-1]) | (
-                    combined_seg[1:] != combined_seg[:-1]
+                # Per-segment unique on one fused key: rows are positions
+                # into src_nodes, so seg * n_src + row orders by segment
+                # first and row second, exactly like a two-key lexsort.
+                n_src = block.n_src
+                keys = unique_sorted(
+                    np.concatenate(
+                        [seg * n_src + rows, nbr_seg * n_src + nbr_positions]
+                    )
                 )
-                rows = combined[keep]
-                seg = combined_seg[keep]
+                seg, rows = np.divmod(keys, n_src)
 
         sizes = np.bincount(seg, minlength=n_buckets)
         for i, bucket in enumerate(buckets):

@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.arrays import unique_sorted
 from repro.config import INDEX_DTYPE
 from repro.core.estimator import BucketMemEstimator
 from repro.core.grouping import (
@@ -39,7 +40,7 @@ def group_input_nodes(blocks: list[Block], rows: np.ndarray) -> np.ndarray:
     the cross-group feature-reuse layer can compute input overlap
     *before* any micro-batch blocks are generated.
     """
-    rows = np.unique(np.asarray(rows, dtype=INDEX_DTYPE))
+    rows = unique_sorted(np.asarray(rows, dtype=INDEX_DTYPE))
     for block in reversed(blocks):
         degrees = block.indptr[rows + 1] - block.indptr[rows]
         if degrees.sum() > 0:
@@ -52,7 +53,7 @@ def group_input_nodes(blocks: list[Block], rows: np.ndarray) -> np.ndarray:
                 + np.arange(total, dtype=INDEX_DTYPE)
             )
             neighbor_positions = block.indices[flat_pos]
-            rows = np.unique(np.concatenate([rows, neighbor_positions]))
+            rows = unique_sorted(np.concatenate([rows, neighbor_positions]))
     return blocks[0].src_nodes[rows]
 
 

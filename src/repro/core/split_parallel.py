@@ -36,6 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.arrays import unique_sorted
 from repro.core.api import build_model
 from repro.core.fastblock import generate_blocks_fast
 from repro.core.grouping import mem_balanced_grouping, refine_balance
@@ -244,7 +245,7 @@ def plan_placement(
         if not needed:
             halo_sets.append(np.empty(0, dtype=np.int64))
             continue
-        union = np.unique(np.concatenate(needed))
+        union = unique_sorted(np.concatenate(needed))
         halo_sets.append(union[owner[union] != d])
     return SplitPlacement(
         assignments=assignments,
@@ -290,7 +291,7 @@ class _ShardStager:
             self.device_index, n_local * self.row_bytes
         )
         if n_halo:
-            n_peers = int(np.unique(owners[halo_mask]).size)
+            n_peers = int(unique_sorted(owners[halo_mask]).size)
             duration += self.fleet.exchange(
                 self.device_index,
                 n_halo * self.row_bytes,

@@ -22,7 +22,6 @@ micro-batches are prepared.
 
 from __future__ import annotations
 
-import gc
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -329,10 +328,12 @@ class MicroBatchTrainer:
                 mb_span.set_attr("peak_bytes", peak)
             if self.timeline is not None:
                 self.timeline.sample("micro_batch")
-        # Release the autograd graph (activations) before the next
-        # micro-batch — the point of output-layer partitioning.
+        # Drop the autograd graph so its activations leave the device
+        # ledger before the next micro-batch — the point of output-layer
+        # partitioning.  The graph is acyclic (no backward closure holds
+        # its own output), so refcounting frees it here; no collector
+        # pass is needed.
         del logits, partial, input_feats
-        gc.collect()
         return loss_value, peak
 
     def finish_iteration(

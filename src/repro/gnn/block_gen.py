@@ -19,6 +19,7 @@ from typing import Callable
 
 import numpy as np
 
+from repro.arrays import unique_sorted
 from repro.config import INDEX_DTYPE
 from repro.errors import GraphError
 from repro.gnn.block import Block
@@ -59,7 +60,7 @@ def assemble_blocks(
     for _ in range(n_layers):
         indptr, flat = row_fn(frontier)
         position[frontier] = np.arange(frontier.size, dtype=INDEX_DTYPE)
-        new_nodes = np.unique(flat)
+        new_nodes = unique_sorted(flat)
         new_nodes = new_nodes[position[new_nodes] < 0]
         position[new_nodes] = np.arange(
             frontier.size, frontier.size + new_nodes.size, dtype=INDEX_DTYPE

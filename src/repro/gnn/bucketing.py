@@ -52,12 +52,18 @@ class Bucket:
     def mark_validated(self, block) -> None:
         """Record that this bucket's rows validated against ``block``."""
         key = id(block)
-        registry = self._validated_blocks
+        # The callback reaches the registry through a weak reference to
+        # this bucket: holding the registry itself would close a cycle
+        # (registry -> ref -> callback -> registry) that only the cyclic
+        # collector could free.
+        owner = weakref.ref(self)
 
-        def _drop(_ref, _key=key, _registry=registry) -> None:
-            _registry.pop(_key, None)
+        def _drop(_ref, _key=key, _owner=owner) -> None:
+            bucket = _owner()
+            if bucket is not None:
+                bucket._validated_blocks.pop(_key, None)
 
-        registry[key] = weakref.ref(block, _drop)
+        self._validated_blocks[key] = weakref.ref(block, _drop)
 
     @property
     def volume(self) -> int:

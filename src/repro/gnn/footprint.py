@@ -374,10 +374,19 @@ def training_dram_bytes(layer_footprints: list[Footprint]) -> float:
     return forward * (1.0 + BACKWARD_FLOPS)
 
 
+def degree_counts(degrees: np.ndarray) -> dict[int, int]:
+    """Histogram ``{degree: count}`` of non-negative integer degrees.
+
+    Keys ascend, as with ``np.unique(..., return_counts=True)``.
+    """
+    counts = np.bincount(degrees)
+    present = np.flatnonzero(counts)
+    return dict(zip(present.tolist(), counts[present].tolist()))
+
+
 def degree_histogram_of_block(block) -> dict[int, int]:
     """Degree histogram ``{degree: count}`` of a block's destinations."""
-    degrees, counts = np.unique(block.degrees, return_counts=True)
-    return {int(d): int(c) for d, c in zip(degrees, counts)}
+    return degree_counts(block.degrees)
 
 
 @dataclass(frozen=True)

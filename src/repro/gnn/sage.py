@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.arrays import unique_sorted
 from repro.errors import GraphError
 from repro.gnn.aggregators import make_aggregator
 from repro.gnn.block import Block
@@ -29,7 +30,10 @@ def apply_bucketed(
     makes bucket splitting/grouping transparent to the model.
     """
     covered = np.concatenate([b.rows for b in buckets])
-    if covered.size != block.n_dst or np.unique(covered).size != block.n_dst:
+    if (
+        covered.size != block.n_dst
+        or unique_sorted(covered).size != block.n_dst
+    ):
         raise GraphError(
             "buckets must partition the block's destination rows"
         )

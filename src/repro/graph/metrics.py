@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.arrays import unique_sorted
 from repro.config import INDEX_DTYPE, rng_from
 from repro.errors import GraphError
 from repro.graph.csr import CSRGraph
@@ -130,7 +131,7 @@ def connected_components(graph: CSRGraph) -> np.ndarray:
         while frontier.size:
             _, fwd = gather_rows(graph, frontier)
             _, bwd = gather_rows(reverse, frontier)
-            neighbors = np.unique(np.concatenate([fwd, bwd]))
+            neighbors = unique_sorted(np.concatenate([fwd, bwd]))
             neighbors = neighbors[labels[neighbors] < 0]
             labels[neighbors] = current
             frontier = neighbors

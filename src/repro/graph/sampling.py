@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.arrays import unique_sorted
 from repro.config import INDEX_DTYPE, rng_from
 from repro.errors import GraphError
 from repro.graph.csr import CSRGraph
@@ -77,7 +78,7 @@ def sample_neighbors(
     big_idx = np.flatnonzero(~whole)
     if big_idx.size:
         big_deg = deg[big_idx]
-        for d in np.unique(big_deg):
+        for d in unique_sorted(big_deg):
             sel = big_idx[big_deg == d]
             rows = graph.indices[
                 starts[sel][:, None] + np.arange(int(d), dtype=INDEX_DTYPE)
@@ -153,7 +154,7 @@ def sample_batch(
     seeds = np.asarray(seeds, dtype=INDEX_DTYPE)
     if seeds.size == 0:
         raise GraphError("cannot sample a batch with no seeds")
-    if len(np.unique(seeds)) != seeds.size:
+    if len(unique_sorted(seeds)) != seeds.size:
         raise GraphError("seed nodes must be unique")
     fanouts = tuple(fanouts)
     if not fanouts:
@@ -175,7 +176,7 @@ def sample_batch(
         indptr, flat = sample_neighbors(graph, frontier_global, fanout, rng)
         waves.append((lookup[frontier_global].copy(), np.diff(indptr), flat))
 
-        new_globals = np.unique(flat)
+        new_globals = unique_sorted(flat)
         new_globals = new_globals[lookup[new_globals] < 0]
         lookup[new_globals] = np.arange(
             n_local, n_local + new_globals.size, dtype=INDEX_DTYPE

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.arrays import unique_sorted
 from repro.config import INDEX_DTYPE
 from repro.errors import GraphError
 from repro.graph.csr import CSRGraph
@@ -58,7 +59,7 @@ def khop_in_nodes(graph: CSRGraph, seeds: np.ndarray, hops: int) -> np.ndarray:
         if frontier.size == 0:
             break
         _, flat = gather_rows(graph, frontier)
-        new = np.unique(flat)
+        new = unique_sorted(flat)
         new = new[~seen[new]]
         seen[new] = True
         frontier = new
@@ -73,7 +74,7 @@ def induced_subgraph(
     Returns ``(sub, node_map)`` where ``node_map[local] == global`` and
     ``sub`` keeps only edges with both endpoints in ``nodes``.
     """
-    nodes = np.unique(np.asarray(nodes, dtype=INDEX_DTYPE))
+    nodes = unique_sorted(np.asarray(nodes, dtype=INDEX_DTYPE))
     lookup = np.full(graph.n_nodes, -1, dtype=INDEX_DTYPE)
     lookup[nodes] = np.arange(nodes.size, dtype=INDEX_DTYPE)
 

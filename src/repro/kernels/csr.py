@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.arrays import unique_sorted
 from repro.errors import GraphError
 from repro.gnn.block import Block
 from repro.gnn.bucketing import Bucket
@@ -59,7 +60,7 @@ def bucket_starts(block: Block, bucket: Bucket) -> np.ndarray:
         if np.any(row_degrees != bucket.degree):
             raise GraphError(
                 f"bucket labeled degree {bucket.degree} contains rows of "
-                f"degrees {np.unique(row_degrees)}"
+                f"degrees {unique_sorted(row_degrees)}"
             )
         bucket.mark_validated(block)
     return starts

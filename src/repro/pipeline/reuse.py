@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.arrays import unique_sorted
 from repro.device.feature_cache import FeatureCache
 from repro.obs.metrics import get_metrics
 
@@ -66,15 +67,12 @@ class ReusePlan:
         if k < 2:
             return cls(pin_before=list(empty), unpin_after=list(empty))
 
-        nodes = np.concatenate(
-            [np.unique(np.asarray(s).ravel()) for s in input_sets]
-        )
+        per_group = [unique_sorted(s) for s in input_sets]
+        nodes = np.concatenate(per_group)
         group_of = np.concatenate(
             [
-                np.full(
-                    np.unique(np.asarray(s).ravel()).size, g, dtype=np.int64
-                )
-                for g, s in enumerate(input_sets)
+                np.full(u.size, g, dtype=np.int64)
+                for g, u in enumerate(per_group)
             ]
         )
         order = np.lexsort((group_of, nodes))

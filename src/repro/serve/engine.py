@@ -31,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.arrays import unique_sorted
 from repro.config import FLOAT_DTYPE, INDEX_DTYPE
 from repro.core.fastblock import generate_blocks_fast
 from repro.errors import ReproError
@@ -275,7 +276,7 @@ class ServeEngine:
             for blocks, node_map in sampled
         ]
         with get_tracer().span("serve.gather") as gather_span:
-            union = np.unique(np.concatenate(request_ids))
+            union = unique_sorted(np.concatenate(request_ids))
             gathered = np.ascontiguousarray(
                 self._gather_rows(union), dtype=FLOAT_DTYPE
             )

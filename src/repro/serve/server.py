@@ -113,27 +113,36 @@ class ServeServer:
             self._served += len(batch)
 
     def stop(self, *, drain: bool = True, timeout: float = 30.0) -> None:
-        """Close intake, optionally serve the residue, join the worker.
+        """Close intake, join the worker, then settle the residue.
 
         With ``drain=False`` still-queued requests are rejected with
-        ``shutdown``; with ``drain=True`` (default) they are served
-        before the worker exits.
+        ``shutdown``; with ``drain=True`` (default) they are served on
+        the calling thread once the worker has exited.  The worker is
+        joined first because a batch it has in flight runs under the
+        process-global ``no_grad`` flag: two threads inside ``no_grad``
+        at once can restore it in the wrong order and leave gradient
+        tracking off for the whole process.  A worker still running
+        after ``timeout`` gets the residue rejected and raises
+        :class:`~repro.errors.ReproError`.
         """
         with self._lock:
             worker = self._worker
         residue = self.queue.close()
-        if residue:
-            if drain:
-                self._execute_residue(residue)
-            else:
-                for pending in residue:
-                    pending._reject(REJECT_SHUTDOWN)
+        stuck = False
         if worker is not None:
+            # close() emptied the queue, so the worker finishes its
+            # in-flight batch and exits on its own.
             worker.join(timeout)
-            if worker.is_alive():
-                raise ReproError(
-                    f"serve worker failed to stop within {timeout}s"
-                )
+            stuck = worker.is_alive()
+        if drain and not stuck:
+            self._execute_residue(residue)
+        else:
+            for pending in residue:
+                pending._reject(REJECT_SHUTDOWN)
+        if stuck:
+            raise ReproError(
+                f"serve worker failed to stop within {timeout}s"
+            )
         with self._lock:
             self._worker = None
 

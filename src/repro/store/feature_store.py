@@ -39,6 +39,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.analysis.contracts import locks_required
+from repro.arrays import unique_sorted
 from repro.config import INDEX_DTYPE
 from repro.errors import DatasetError
 from repro.obs.metrics import BYTE_BUCKETS, SECONDS_BUCKETS, get_metrics
@@ -309,7 +310,7 @@ class FeatureStore:
         shard path a gather uses, so a staged-then-gathered row is
         bit-identical to a directly gathered one.
         """
-        ids = np.unique(np.asarray(node_ids, dtype=INDEX_DTYPE).ravel())
+        ids = unique_sorted(np.asarray(node_ids, dtype=INDEX_DTYPE))
         if self.host_budget_bytes is not None:
             # The staged entry lives alongside the gather output that
             # will consume it, so require headroom for both copies.

@@ -11,6 +11,14 @@ ledger.  Activation lifetime is then modeled faithfully by Python object
 lifetime — saved activations stay referenced by backward closures until
 the graph is released, exactly as a framework keeps activations until
 ``backward()`` completes.
+
+Rule for new ops: a backward closure captures its inputs (and arrays
+saved from the forward), never its own output tensor.  Edges then only
+point from a tensor to its parents, so the graph has no reference
+cycles and dropping the last reference to the loss frees every
+activation by refcount.  The trainer relies on this: it releases each
+micro-batch's graph with a plain ``del`` and never runs the cyclic
+collector (``tests/core/test_deterministic_release.py``).
 """
 
 from __future__ import annotations

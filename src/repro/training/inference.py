@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.arrays import unique_sorted
 from repro.config import FLOAT_DTYPE, INDEX_DTYPE
 from repro.datasets.catalog import Dataset
 from repro.errors import ReproError
@@ -29,7 +30,7 @@ def _chunk_block(graph: CSRGraph, chunk: np.ndarray) -> Block:
     indptr, flat = graph_gather_rows(graph, chunk)
     position = np.full(graph.n_nodes, -1, dtype=INDEX_DTYPE)
     position[chunk] = np.arange(chunk.size, dtype=INDEX_DTYPE)
-    new_nodes = np.unique(flat)
+    new_nodes = unique_sorted(flat)
     new_nodes = new_nodes[position[new_nodes] < 0]
     position[new_nodes] = np.arange(
         chunk.size, chunk.size + new_nodes.size, dtype=INDEX_DTYPE

@@ -65,6 +65,7 @@ class TestRegistry:
             "memmap-copy",
             "metric-name",
             "no-nondeterminism",
+            "slow-unique",
             "span-leak",
             "thread-escape",
         }

@@ -232,3 +232,41 @@ class TestHotAlloc:
         )
         result = project.lint(rules=["hot-alloc"])
         assert result.findings == []
+
+
+class TestSlowUnique:
+    def test_flags_bare_unique_including_aliases(self, project):
+        project.write(
+            "src/repro/graph/bad_unique.py",
+            "import numpy as np\n"
+            "from numpy import unique as uniq\n"
+            "def frontier(flat):\n"
+            "    a = np.unique(flat)\n"
+            "    return a, uniq(flat)\n",
+        )
+        result = project.lint(rules=["slow-unique"])
+        assert rules_of(result.findings) == ["slow-unique", "slow-unique"]
+        assert sorted(f.line for f in result.findings) == [4, 5]
+        assert "unique_sorted" in result.findings[0].message
+
+    def test_return_keywords_and_helper_pass(self, project):
+        project.write(
+            "src/repro/core/good_unique.py",
+            "import numpy as np\n"
+            "from repro.arrays import unique_sorted\n"
+            "def hist(degrees, ids):\n"
+            "    d, c = np.unique(degrees, return_counts=True)\n"
+            "    u, inv = np.unique(ids, return_inverse=True)\n"
+            "    return d, c, u, inv, unique_sorted(ids)\n",
+        )
+        assert project.lint(rules=["slow-unique"]).findings == []
+
+    def test_bench_and_analysis_are_exempt(self, project):
+        source = (
+            "import numpy as np\n"
+            "def f(x):\n"
+            "    return np.unique(x)\n"
+        )
+        project.write("src/repro/bench/experiments/figure.py", source)
+        project.write("src/repro/analysis/tool.py", source)
+        assert project.lint(rules=["slow-unique"]).findings == []

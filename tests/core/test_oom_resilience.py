@@ -5,6 +5,8 @@ workload, the device OOMs during concrete execution.  BuffaloTrainer
 must tighten the scheduling constraint and retry rather than crash.
 """
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -93,3 +95,68 @@ class TestOOMResilience:
         before = trainer.scheduler.memory_constraint
         trainer.run_iteration(dataset.train_nodes[:60])
         assert trainer.scheduler.memory_constraint == before
+
+
+class TestOOMReleaseWithoutCollector:
+    """A failed micro-batch's graph is freed by refcount before re-plan.
+
+    The retry path never calls ``gc.collect()``: once the handled
+    exception and its traceback are dropped, nothing may still pin the
+    failed micro-batch's activations in the device ledger.
+    """
+
+    @pytest.mark.parametrize("backend", ["reference", "fused"])
+    @pytest.mark.parametrize("fail_at", [0, 3])
+    def test_ledger_restored_before_replan(self, dataset, backend, fail_at):
+        spec = ModelSpec(dataset.feat_dim, 16, dataset.n_classes, 2, "mean")
+        device = SimulatedGPU(capacity_bytes=10**12)
+        trainer = BuffaloTrainer(
+            dataset, spec, device, fanouts=[5, 5], seed=0,
+            memory_constraint=1.5e5, kernel_backend=backend,
+        )
+        state = {"micro_batch": 0, "tracks": None, "live_at_oom": None}
+
+        train_micro_batch = trainer.trainer.train_micro_batch
+
+        def counting(*args, **kwargs):
+            if state["micro_batch"] == fail_at:
+                state["tracks"] = 0
+            state["micro_batch"] += 1
+            return train_micro_batch(*args, **kwargs)
+
+        track = device.track
+
+        def failing_track(array):
+            # Fail the sixth buffer of micro-batch `fail_at`: mid-forward,
+            # with the micro-batch's inputs and activations live.
+            if state["tracks"] is not None:
+                state["tracks"] += 1
+                if state["tracks"] == 6:
+                    state["tracks"] = None
+                    state["live_at_oom"] = device.live_bytes
+                    raise DeviceOutOfMemoryError(
+                        int(array.nbytes), device.live_bytes, device.capacity
+                    )
+            track(array)
+
+        schedule = trainer.scheduler.schedule
+        live_at_schedule = []
+
+        def recording_schedule(*args, **kwargs):
+            live_at_schedule.append(device.live_bytes)
+            return schedule(*args, **kwargs)
+
+        trainer.trainer.train_micro_batch = counting
+        device.track = failing_track
+        trainer.scheduler.schedule = recording_schedule
+        gc.collect()
+        gc.disable()
+        try:
+            report = trainer.run_iteration(dataset.train_nodes[:40])
+        finally:
+            gc.enable()
+
+        before, replan = live_at_schedule
+        assert state["live_at_oom"] > before
+        assert replan == before
+        assert np.isfinite(report.result.loss)

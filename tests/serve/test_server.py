@@ -1,5 +1,7 @@
 """Live threaded server: submit, coalesce, drain — the CI smoke path."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from repro.serve import (
     ServeServer,
     generate_trace,
 )
+from repro.tensor.tensor import Tensor
 
 POLICY = BatchPolicy(max_batch=8, max_wait_s=2e-3, max_queue_depth=256)
 
@@ -101,3 +104,42 @@ class TestShutdown:
         with pytest.raises(ReproError):
             server.start()
         server.stop()
+
+    def test_drain_with_batch_in_flight_keeps_grad_mode(self, make_engine):
+        """Residue is served only after the worker's batch has finished.
+
+        Serving the residue on the caller thread while the worker is
+        still inside ``predict_batch`` overlaps two ``no_grad`` blocks on
+        the process-global flag; if the worker leaves first, the caller
+        restores "off" and gradient tracking stays disabled.  The model
+        below forces that interleaving whenever the two overlap.
+        """
+        engine = make_engine()
+        model = engine.model
+        in_flight = threading.Event()
+        worker_done = threading.Event()
+
+        def gated(*args):
+            if threading.current_thread().name == "serve-worker":
+                if not in_flight.is_set():
+                    in_flight.set()
+                    # Hold the batch until the caller's forward starts
+                    # (old drain order) or a short timeout (joined).
+                    worker_done.wait(0.5)
+            else:
+                # Let the worker's batch finish inside our no_grad.
+                worker_done.set()
+                first.result(timeout=10.0)
+            return model(*args)
+
+        engine.model = gated
+        server = ServeServer(
+            engine,
+            BatchPolicy(max_batch=1, max_wait_s=1e-3, max_queue_depth=16),
+        ).start()
+        first = server.submit(0)
+        assert in_flight.wait(10.0)
+        residue = [server.submit(n) for n in (1, 2)]
+        server.stop(drain=True)
+        assert len(drain(server, [first, *residue], timeout=0.0)) == 3
+        assert Tensor(np.ones(2), requires_grad=True).requires_grad
