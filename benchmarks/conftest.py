@@ -7,17 +7,9 @@ qualitative shape checks.
 
 from __future__ import annotations
 
-import os
 from pathlib import Path
 
 RESULTS_DIR = Path(__file__).parent / "results"
-
-# Host isolation: never let a developer's tuned calibration file change
-# benchmark dispatch decisions (tests/conftest.py does the same for the
-# test suite).
-os.environ["REPRO_KERNEL_CALIBRATION"] = str(
-    Path(__file__).parent / "_no_such_kernel_calibration.json"
-)
 
 
 def record(output) -> None:

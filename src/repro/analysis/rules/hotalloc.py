@@ -17,13 +17,6 @@ built once at import) are exempt, as is ``kernels/workspace.py`` itself
 Intentional owned allocations — arrays that become ``Tensor.data`` or
 are captured by backward closures, which must *not* live in the arena —
 carry ``# repro: noqa[hot-alloc] <reason>``.
-
-Threaded kernel execution does not change the discipline: pool workers
-draw from their own named sub-arenas via
-``workspace.for_worker(i).request(...)`` (created up front on the
-compute thread by ``workspace.ensure_workers(n)``), which the rule
-already recognizes as arena usage — ``request`` is not an allocating
-constructor, whichever arena it is called on.
 """
 
 from __future__ import annotations
@@ -66,29 +59,29 @@ class HotAllocRule(LintRule):
     def check(self, ctx: FileContext) -> list[Finding]:
         if ctx.relpath.replace("\\", "/").endswith(_EXEMPT_SUFFIXES):
             return []
+        # A call inside a nested function (a backward closure, a task)
+        # is walked from every enclosing function; collect it once.
+        calls = {
+            node
+            for func in ast.walk(ctx.tree)
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for node in ast.walk(func)
+            if isinstance(node, ast.Call)
+        }
         findings: list[Finding] = []
-        for func in ast.walk(ctx.tree):
-            if not isinstance(
-                func, (ast.FunctionDef, ast.AsyncFunctionDef)
-            ):
+        for node in sorted(calls, key=lambda n: (n.lineno, n.col_offset)):
+            resolved = ctx.imports.resolve(node.func)
+            if resolved not in _ALLOCATORS:
                 continue
-            for node in ast.walk(func):
-                if not isinstance(node, ast.Call):
-                    continue
-                resolved = ctx.imports.resolve(node.func)
-                if resolved not in _ALLOCATORS:
-                    continue
-                short = resolved.replace("numpy.", "np.")
-                findings.append(
-                    self.finding(
-                        ctx,
-                        node,
-                        f"per-call {short}(...) on the kernel hot path; "
-                        f"request the buffer from the Workspace arena "
-                        f"(worker code: workspace.for_worker(i)"
-                        f".request(...)), or mark an owned autograd "
-                        f"allocation with "
-                        f"'# repro: noqa[hot-alloc] <reason>'",
-                    )
+            short = resolved.replace("numpy.", "np.")
+            findings.append(
+                self.finding(
+                    ctx,
+                    node,
+                    f"per-call {short}(...) on the kernel hot path; "
+                    f"request the buffer from the Workspace arena, or "
+                    f"mark an owned autograd allocation with "
+                    f"'# repro: noqa[hot-alloc] <reason>'",
                 )
+            )
         return findings

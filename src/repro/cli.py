@@ -27,6 +27,7 @@ import argparse
 import contextlib
 import importlib
 import sys
+import time
 from typing import Sequence
 
 EXPERIMENTS = (
@@ -152,23 +153,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "the CSR block directly (see docs/kernels.md)",
     )
     train.add_argument(
-        "--kernel-threads",
-        type=int,
-        default=1,
-        metavar="N",
-        help="worker threads for the fused backend's column-block "
-        "sharded CSR execution (1 = serial; results are bit-for-bit "
-        "identical at any count)",
-    )
-    train.add_argument(
-        "--calibration",
-        default=None,
-        metavar="PATH",
-        help="kernel dispatch calibration file for --kernel-backend "
-        "fused (written by `repro bench kernels --tune`; default: "
-        "$REPRO_KERNEL_CALIBRATION or the per-host cache file)",
-    )
-    train.add_argument(
         "--hot-cache-mb",
         type=float,
         default=None,
@@ -274,14 +258,6 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=["reference", "fused"],
         help="bucketed-aggregation kernels for the serving forwards "
         "(see docs/kernels.md)",
-    )
-    serve.add_argument(
-        "--kernel-threads",
-        type=int,
-        default=1,
-        metavar="N",
-        help="worker threads for the fused backend's sharded CSR "
-        "execution (1 = serial; bit-for-bit at any count)",
     )
     serve.add_argument("--seed", type=int, default=0)
     _add_obs_flags(serve)
@@ -397,32 +373,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--check",
         action="store_true",
         help="exit 1 when fused is >10%% slower than reference on "
-        "sum/mean (best-of---repeats; the CI perf-smoke gate), when "
-        "tuned dispatch is >5%% slower than default on any row, or "
-        "when threaded modeled speedup is below 1.3x",
-    )
-    bench_kernels.add_argument(
-        "--tune",
-        action="store_true",
-        help="run the dense-vs-CSR autotuner first, write the "
-        "calibration file (--calibration or the per-host default), and "
-        "add the tuned-vs-default comparison rows",
-    )
-    bench_kernels.add_argument(
-        "--calibration",
-        default=None,
-        metavar="PATH",
-        help="calibration file to write (with --tune) or load (without); "
-        "default: $REPRO_KERNEL_CALIBRATION or "
-        "~/.cache/repro/kernel_calibration.json",
-    )
-    bench_kernels.add_argument(
-        "--threads",
-        type=int,
-        default=0,
-        metavar="N",
-        help="also run the threaded-vs-serial comparison at N worker "
-        "threads (bit-for-bit check + modeled speedup; 0 = skip)",
+        "sum/mean (best-of---repeats; the CI perf-smoke gate)",
     )
     bench_kernels.add_argument(
         "--ledger",
@@ -439,23 +390,6 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="RECORD",
         help="with --check, also compare against a baseline ledger "
         "record (PATH or PATH@INDEX) and fail on cross-run regressions",
-    )
-    bench_experiment = bench_sub.add_parser(
-        "experiment",
-        help="run one paper experiment as a benchmark (alias of "
-        "`repro experiment NAME` with ledger support)",
-    )
-    bench_experiment.add_argument(
-        "name", help=f"experiment name, one of: {', '.join(EXPERIMENTS)}"
-    )
-    bench_experiment.add_argument(
-        "--ledger",
-        nargs="?",
-        const="auto",
-        default=None,
-        metavar="PATH",
-        help="append the experiment's numeric results as a ledger "
-        "record (default: benchmarks/ledger/<name>.jsonl)",
     )
 
     ledger = sub.add_parser(
@@ -755,7 +689,6 @@ def _train_ledger_record(args, trainer, recorder, fanouts):
         "pipeline_mode": args.pipeline_mode,
         "reuse_features": args.reuse_features,
         "kernel_backend": args.kernel_backend,
-        "kernel_threads": args.kernel_threads,
     }
     peaks: dict[str, float] = {
         "device": float(recorder.device_peak_bytes)
@@ -814,7 +747,6 @@ def _cmd_train(args) -> int:
     _require_positive(args.hot_cache_mb, "--hot-cache-mb")
     _require_positive(args.host_budget_mb, "--host-budget-mb")
     _require_positive(args.devices, "--devices")
-    _require_positive(args.kernel_threads, "--kernel-threads")
     if args.devices > 1:
         # The parallel trainers run the plain Algorithm 2 path; the
         # single-device execution features below are not wired through
@@ -826,8 +758,6 @@ def _cmd_train(args) -> int:
             ("--pipeline-depth > 1", args.pipeline_depth > 1),
             ("--pipeline-mode other than auto", args.pipeline_mode != "auto"),
             ("--kernel-backend fused", args.kernel_backend == "fused"),
-            ("--kernel-threads > 1", args.kernel_threads > 1),
-            ("--calibration", args.calibration is not None),
             ("--ledger", args.ledger is not None),
         ]
         if args.parallel != "split":
@@ -908,8 +838,6 @@ def _cmd_train(args) -> int:
             reuse_features=args.reuse_features,
             feature_cache_bytes=args.feature_cache_bytes,
             kernel_backend=args.kernel_backend,
-            kernel_threads=args.kernel_threads,
-            kernel_calibration=args.calibration,
         )
     val_nodes = None
     if args.do_eval:
@@ -1095,7 +1023,6 @@ def _cmd_serve(args) -> int:
     _require_positive(args.rate_hz, "--rate-hz")
     _require_positive(args.max_batch, "--max-batch")
     _require_positive(args.queue_depth, "--queue-depth")
-    _require_positive(args.kernel_threads, "--kernel-threads")
     if args.max_wait_ms < 0:
         raise SystemExit(
             f"--max-wait-ms must be >= 0, got {args.max_wait_ms}"
@@ -1134,10 +1061,17 @@ def _cmd_serve(args) -> int:
             sampler_seed=args.seed,
             cache=EmbeddingCache(int(args.cache_mb * 2**20)),
             kernel_backend=args.kernel_backend,
-            kernel_threads=args.kernel_threads,
         )
         server = ServeServer(engine, policy).start()
-        pendings = [server.submit(req.node) for req in trace]
+        # Open loop: each request is submitted when its trace arrival
+        # falls due, so --rate-hz sets the offered load.
+        pendings = []
+        start = time.perf_counter()
+        for req in trace:
+            delay = start + req.arrival_s - time.perf_counter()
+            if delay > 0:
+                time.sleep(delay)
+            pendings.append(server.submit(req.node))
         server.stop(drain=True)
     latencies = []
     hits = 0
@@ -1409,18 +1343,9 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    if args.bench_command == "experiment":
-        if args.name not in EXPERIMENTS:
-            raise SystemExit(
-                f"unknown experiment {args.name!r}; "
-                f"see `repro experiment --list`"
-            )
-        return 0 if _run_one_experiment(args.name, ledger=args.ledger) else 1
     from repro.bench.kernels import (
         ledger_record_from_kernel_result,
         run_kernel_bench,
-        run_threaded_comparison,
-        run_tuned_comparison,
         write_bench_json,
     )
     from repro.obs.observatory.ledger import (
@@ -1436,8 +1361,6 @@ def _cmd_bench(args) -> int:
     _require_positive(args.degree, "--degree")
     _require_positive(args.feat, "--feat")
     _require_positive(args.repeats, "--repeats")
-    if args.threads < 0:
-        raise SystemExit("error: --threads must be >= 0")
     result = run_kernel_bench(
         n_rows=args.rows,
         degree=args.degree,
@@ -1445,13 +1368,6 @@ def _cmd_bench(args) -> int:
         repeats=args.repeats,
         seed=args.seed,
     )
-    calibration = _bench_calibration(args)
-    if calibration is not None:
-        run_tuned_comparison(result, calibration, repeats=args.repeats)
-    if args.threads:
-        run_threaded_comparison(
-            result, n_threads=args.threads, repeats=args.repeats
-        )
     path = write_bench_json(result, args.out)
     for op, per_op in result["ops"].items():
         print(
@@ -1466,27 +1382,10 @@ def _cmd_bench(args) -> int:
                 f"{bucket_name}.{op}: speedup {per_op['speedup']:.2f}x"
                 f"  scratch ratio {per_op['scratch_ratio']:.2f}"
             )
-    if "tuned" in result:
-        for row, cells in result["tuned"]["rows"].items():
-            print(
-                f"tuned.{row}: "
-                f"{cells['tuned_vs_default_speedup']:.2f}x vs default "
-                f"(default {cells['default_wall_s'] * 1e3:.2f} ms, "
-                f"tuned {cells['tuned_wall_s'] * 1e3:.2f} ms)"
-            )
-    if "threaded" in result:
-        t = result["threaded"]
-        print(
-            f"threaded@{t['n_threads']}: bitwise "
-            f"{'OK' if t['bitwise_equal'] else 'MISMATCH'}"
-            f"  measured {t['measured_speedup']:.2f}x"
-            f"  modeled {t['modeled_speedup']:.2f}x"
-            f"  (parallel fraction {t['parallel_fraction']:.2f})"
-        )
     print(f"results written to {path}")
     # The kernels gate runs on the ledger path: the result becomes a
-    # LedgerRecord whose floors reproduce the old check_regression
-    # behavior, and --baseline adds a cross-run comparison.
+    # LedgerRecord whose floors are the fused-vs-reference speedup
+    # gate, and --baseline adds a cross-run comparison.
     record = ledger_record_from_kernel_result(result)
     ledger_path = _resolve_ledger_path(args.ledger, "kernels")
     if ledger_path is not None:
@@ -1517,36 +1416,6 @@ def _cmd_bench(args) -> int:
             return 1
         print("perf gate passed (all ledger floors met)")
     return 0
-
-
-def _bench_calibration(args):
-    """Resolve the bench's calibration: tune-and-save, load, or None."""
-    if not args.tune and args.calibration is None:
-        return None
-    from pathlib import Path
-
-    from repro.kernels import (
-        CalibrationError,
-        default_calibration_path,
-        load_calibration,
-        save_calibration,
-        tune_calibration,
-    )
-
-    path = (
-        Path(args.calibration)
-        if args.calibration is not None
-        else default_calibration_path()
-    )
-    if args.tune:
-        calibration = tune_calibration(repeats=max(args.repeats, 2))
-        save_calibration(calibration, path)
-        print(f"calibration written to {path}")
-        return calibration
-    try:
-        return load_calibration(path)
-    except CalibrationError as exc:
-        raise SystemExit(f"error: cannot load --calibration: {exc}")
 
 
 def _fmt_delta(delta) -> str:

@@ -129,11 +129,6 @@ class BuffaloTrainer:
             ``(n, d, f)`` neighbor tensor — see docs/kernels.md).
             Scheduling and execution both run under this backend so
             Eq. 1-2 estimates match the executed live set.
-        kernel_threads: worker threads for the fused backend's sharded
-            CSR execution (1 = serial; bit-for-bit at any count).
-        kernel_calibration: path to an autotuned dispatch calibration
-            file (``repro bench kernels --tune``); ``None`` keeps the
-            backend's per-host default resolution.
     """
 
     def __init__(
@@ -156,8 +151,6 @@ class BuffaloTrainer:
         store_prefetch: bool = True,
         store_prefetch_depth: int | None = None,
         kernel_backend: str = "reference",
-        kernel_threads: int = 1,
-        kernel_calibration: str | None = None,
     ) -> None:
         if spec.in_dim != dataset.feat_dim:
             raise SchedulingError(
@@ -193,8 +186,6 @@ class BuffaloTrainer:
         self.trainer = MicroBatchTrainer(
             self.model, spec, self.optimizer, device,
             kernel_backend=kernel_backend,
-            kernel_threads=kernel_threads,
-            kernel_calibration=kernel_calibration,
         )
         self.pipeline_config = PipelineConfig(
             depth=pipeline_depth, mode=pipeline_mode

@@ -165,13 +165,6 @@ class MicroBatchTrainer:
             trainer scopes it around every micro-batch and marks the
             bucket-group boundary so the fused backend's workspace
             arena is reused across micro-batches.
-        kernel_threads: worker threads for the fused backend's
-            column-block sharded CSR execution (1 = serial, the
-            default; results are bit-for-bit identical at any count).
-        kernel_calibration: path to an autotuned dispatch calibration
-            file (``repro bench kernels --tune``); ``None`` keeps the
-            backend's own resolution (per-host default file, else the
-            shipped crossover).
 
     Attributes:
         reuse: optional cross-group feature-reuse manager (a
@@ -191,19 +184,12 @@ class MicroBatchTrainer:
         device: SimulatedGPU | None = None,
         *,
         kernel_backend: str = "reference",
-        kernel_threads: int = 1,
-        kernel_calibration: str | None = None,
     ) -> None:
         self.model = model
         self.spec = spec
         self.optimizer = optimizer
         self.device = device
         self.kernel = resolve_backend(kernel_backend)
-        if kernel_threads != 1 or kernel_calibration is not None:
-            self.kernel.configure_execution(
-                calibration_path=kernel_calibration,
-                n_threads=kernel_threads,
-            )
         self._contributions = GradientContributions()
         self.reuse = None
         # Optional MemoryTimelineRecorder (obs.observatory.timeline);

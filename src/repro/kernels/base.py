@@ -47,25 +47,6 @@ class KernelBackend:
     def __init__(self) -> None:
         self.workspace = Workspace(name=self.name)
 
-    # -- execution configuration ---------------------------------------
-    def configure_execution(
-        self,
-        *,
-        calibration_path=None,
-        n_threads: int | None = None,
-        thread_min_work: int | None = None,
-    ) -> None:
-        """Apply dispatch calibration / thread-count configuration.
-
-        The base backend has no tunable dispatch and no thread pool, so
-        this is a no-op; :class:`~repro.kernels.fused.FusedBackend`
-        overrides it.  Trainer/serving plumbing calls it untyped on
-        whatever backend was resolved.
-        """
-
-    def close(self) -> None:
-        """Release execution resources (worker pools); default no-op."""
-
     # -- group lifetime ------------------------------------------------
     def begin_group(self) -> None:
         """Start of a bucket group (one micro-batch)."""

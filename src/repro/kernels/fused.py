@@ -36,25 +36,11 @@ again matches only to round-off.
 Hybrid dispatch: buckets below the dense/CSR crossover of work take
 the dense reference path — CSR assembly is a fixed Python-side cost
 that tiny low-degree buckets never amortize, and a power-law batch has
-many of them.  The crossover is *calibrated*: at construction the
-backend loads this host's :mod:`~repro.kernels.tuning` calibration
-file (``repro bench kernels --tune`` writes it) and dispatches per
-``(dtype, feat-dim band)``, falling back to the shipped
-:data:`DENSE_FALLBACK_ELEMENTS` default when no calibration exists.
-``buffalo.kernel.dense_fallbacks`` counts dense routings plus the
-pool/LSTM neighbor tensors the fused layer cannot express;
-``buffalo.kernel.calibration_{loaded,stale,miss}`` records what the
-load attempt found.
-
-Threaded execution: with ``n_threads >= 2`` the CSR operator matmuls
-(forward ``A @ X``, backward ``A^T @ grad``) and the attention
-alpha-dot loop shard across a persistent
-:class:`~repro.kernels.parallel.KernelThreadPool` by output-column
-blocks — disjoint output slices, each element computed by exactly one
-worker running the identical serial inner loop, so threaded results
-are **bit-for-bit** equal to serial at any thread count.  Buckets
-below the calibrated ``thread_min_work`` stay serial (pool dispatch
-is a fixed cost small buckets never amortize).
+many of them.  The crossover is the fixed
+:data:`DENSE_FALLBACK_ELEMENTS`; ``buffalo.kernel.dense_fallbacks``
+counts dense routings plus the pool/LSTM neighbor tensors the fused
+layer cannot express.  Every kernel runs serially on the calling
+(compute) thread.
 """
 
 from __future__ import annotations
@@ -66,13 +52,7 @@ from repro.gnn.block import Block
 from repro.gnn.bucketing import Bucket
 from repro.kernels.base import KernelBackend
 from repro.kernels.csr import bucket_starts, cached_arange
-from repro.kernels.parallel import KernelThreadPool
 from repro.kernels.reference import ReferenceBackend
-from repro.kernels.tuning import (
-    THREAD_MIN_WORK_DEFAULT,
-    Calibration,
-    load_for_dispatch,
-)
 from repro.tensor.tensor import Tensor
 
 try:  # scipy is a declared dependency, but degrade gracefully without it
@@ -97,13 +77,7 @@ class FusedBackend(KernelBackend):
     name = "fused"
 
     def __init__(
-        self,
-        *,
-        dense_fallback_elements: int | None = None,
-        calibration: Calibration | None = None,
-        calibration_path=None,
-        n_threads: int = 1,
-        thread_min_work: int | None = None,
+        self, *, dense_fallback_elements: int = DENSE_FALLBACK_ELEMENTS
     ) -> None:
         super().__init__()
         # Dense (n, d, f) materializations: pool/LSTM (which the fused
@@ -112,122 +86,13 @@ class FusedBackend(KernelBackend):
         # traffic visible in metrics.
         self._dense_fallbacks = 0
         self._reduce_calls = 0
-        self._threaded_reduces = 0
-        self.calibration: Calibration | None = None
-        self.calibration_status = "fixed"
-        # Resolved crossover per (dtype char, feat_dim): the band lookup
-        # costs microseconds, which a sub-crossover bucket's dispatch
-        # cannot afford on every call.
-        self._crossover_cache: dict[tuple[str, int], int] = {}
-        self.dense_fallback_elements = DENSE_FALLBACK_ELEMENTS
-        if dense_fallback_elements is not None:
-            # An explicit crossover wins outright (tests and the tuner
-            # force one dispatch arm this way); calibration is not
-            # consulted and no load metrics are emitted.
-            self.dense_fallback_elements = dense_fallback_elements
-        else:
-            self._load_calibration(calibration, calibration_path)
-        self.thread_min_work = (
-            thread_min_work
-            if thread_min_work is not None
-            else (
-                self.calibration.thread_min_work
-                if self.calibration is not None
-                else THREAD_MIN_WORK_DEFAULT
-            )
-        )
-        self._pool: KernelThreadPool | None = None
-        self.n_threads = 1
-        if n_threads > 1:
-            self.configure_threads(n_threads)
-
-    # ------------------------------------------------------------------
-    # calibration + thread configuration
-    # ------------------------------------------------------------------
-    def _load_calibration(self, calibration, calibration_path) -> None:
-        """Resolve the dispatch calibration and record what happened."""
-        from repro.obs.metrics import get_metrics
-
-        if calibration is not None:
-            self.calibration = calibration
-            self.calibration_status = "loaded"
-        else:
-            self.calibration, self.calibration_status = load_for_dispatch(
-                calibration_path, explicit=calibration_path is not None
-            )
-        self._crossover_cache.clear()
-        get_metrics().counter(
-            f"buffalo.kernel.calibration_{self.calibration_status}",
-            help="kernel calibration load outcomes by status",
-        ).inc()
-
-    def configure_execution(
-        self,
-        *,
-        calibration_path=None,
-        n_threads: int | None = None,
-        thread_min_work: int | None = None,
-    ) -> None:
-        """Reconfigure dispatch calibration and/or the thread pool.
-
-        The trainer/serving plumbing calls this on the shared singleton
-        (``--calibration`` / ``--kernel-threads``); passing ``None``
-        leaves that aspect unchanged.
-        """
-        if calibration_path is not None:
-            self._load_calibration(None, calibration_path)
-            if thread_min_work is None and self.calibration is not None:
-                self.thread_min_work = self.calibration.thread_min_work
-        if thread_min_work is not None:
-            self.thread_min_work = thread_min_work
-        if n_threads is not None:
-            self.configure_threads(n_threads)
-
-    def configure_threads(self, n_threads: int) -> None:
-        """Set the worker count (1 = serial, today's default behavior)."""
-        n_threads = int(n_threads)
-        if self._pool is not None and self._pool.n_threads != n_threads:
-            self._pool.shutdown()
-            self._pool = None
-        if n_threads > 1:
-            if self._pool is None:
-                self._pool = KernelThreadPool(n_threads)
-            # Worker sub-arenas are created here, on the compute
-            # thread, so pool tasks only ever read the worker map.
-            self.workspace.ensure_workers(n_threads)
-        self.n_threads = n_threads
-
-    def close(self) -> None:
-        """Join pool workers (idempotent; serial backends are no-ops)."""
-        if self._pool is not None:
-            self._pool.shutdown()
-            self._pool = None
-
-    def _plan_threads(self, work: int) -> KernelThreadPool | None:
-        """The pool to shard this bucket over, or ``None`` for serial."""
-        if self._pool is None or work < self.thread_min_work:
-            return None
-        return self._pool
+        # Tests force the CSR arm with 0.
+        self.dense_fallback_elements = dense_fallback_elements
 
     def _prefers_dense(self, bucket: Bucket, src_feats: Tensor) -> bool:
-        """Hybrid dispatch: route tiny buckets to the dense path.
-
-        The crossover is the calibrated per-(dtype, feat-dim band)
-        threshold when a calibration loaded, the scalar default
-        otherwise.
-        """
-        feat_dim = src_feats.shape[1]
-        key = (src_feats.data.dtype.char, feat_dim)
-        crossover = self._crossover_cache.get(key)
-        if crossover is None:
-            if self.calibration is not None:
-                crossover = self.calibration.crossover_for(
-                    src_feats.data.dtype, feat_dim
-                )
-            if crossover is None:
-                crossover = self.dense_fallback_elements
-            self._crossover_cache[key] = crossover
-        return bucket.n_edges * feat_dim < crossover
+        """Hybrid dispatch: route tiny buckets to the dense path."""
+        work = bucket.n_edges * src_feats.shape[1]
+        return work < self.dense_fallback_elements
 
     # ------------------------------------------------------------------
     # group lifetime / metrics
@@ -249,18 +114,6 @@ class FusedBackend(KernelBackend):
                 "(pool/LSTM and sub-crossover buckets)",
             ).inc(self._dense_fallbacks)
             self._dense_fallbacks = 0
-        if self._threaded_reduces:
-            metrics.counter(
-                "buffalo.kernel.threaded_reduces",
-                help="reduce primitives sharded over the thread pool",
-            ).inc(self._threaded_reduces)
-            self._threaded_reduces = 0
-        if self._pool is not None and self._pool.tasks_run:
-            metrics.counter(
-                "buffalo.kernel.thread_tasks",
-                help="column-block tasks executed by pool workers",
-            ).inc(self._pool.tasks_run)
-            self._pool.tasks_run = 0
         super().end_group()
 
     # ------------------------------------------------------------------
@@ -304,24 +157,6 @@ class FusedBackend(KernelBackend):
         ones = self.workspace.request("fused.ones", (count,), dtype)
         ones.fill(1.0)
         return ones
-
-    def _threaded_matmul(
-        self, operator, dense: np.ndarray, out: np.ndarray, pool
-    ) -> np.ndarray:
-        """``out = operator @ dense`` sharded by output-column blocks.
-
-        The operator (and ``dense``) are read-only across workers; each
-        task owns the disjoint ``out[:, lo:hi]`` slice, so no worker
-        ever reads or writes another's output — same partials, same
-        per-element accumulation order, bit-for-bit vs serial.
-        """
-
-        def task(worker: int, lo: int, hi: int) -> None:
-            out[:, lo:hi] = operator @ dense[:, lo:hi]
-
-        pool.run_blocks(task, dense.shape[1])
-        self._threaded_reduces += 1
-        return out
 
     def _column(
         self,
@@ -388,17 +223,7 @@ class FusedBackend(KernelBackend):
                 else self._ones(n * d, src.dtype)
             )
             operator = self._operator(block, bucket, starts, data)
-            pool = self._plan_threads(n * d * src.shape[1])
-            if pool is not None:
-                # Column-block shard: each worker computes a disjoint
-                # [:, lo:hi] slice with the identical serial kernel, so
-                # the result is bit-for-bit equal to `operator @ src`.
-                out = np.empty(  # repro: noqa[hot-alloc] owned Tensor.data
-                    (n, src.shape[1]), dtype=src.dtype
-                )
-                self._threaded_matmul(operator, src, out, pool)
-            else:
-                out = operator @ src
+            out = operator @ src
         else:
             out = self._columnwise_weighted_sum(
                 block, bucket, starts, src, weights
@@ -481,14 +306,6 @@ class FusedBackend(KernelBackend):
                 else self._ones(n * d, grad.dtype)
             )
             operator = self._operator(block, bucket, starts, data)
-            pool = self._plan_threads(n * d * grad.shape[1])
-            if pool is not None:
-                gsrc = self.workspace.request(
-                    "fused.grad_src", src.shape, grad.dtype
-                )
-                transposed = operator.T  # shared read-only across tasks
-                self._threaded_matmul(transposed, grad, gsrc, pool)
-                return gsrc
             return operator.T @ grad
         ws = self.workspace
         gsrc = ws.request("fused.grad_src", src.shape, grad.dtype)
@@ -517,27 +334,6 @@ class FusedBackend(KernelBackend):
         starts = bucket_starts(block, bucket)
         ws = self.workspace
         galpha = ws.request("fused.grad_alpha", (n, d), grad.dtype)
-        pool = self._plan_threads(n * d * grad.shape[1])
-        if pool is not None:
-            # Shard the neighbor columns: worker `w` dots its j-range
-            # into the disjoint galpha[:, j] columns, drawing col and
-            # gather scratch from its private sub-arena.
-            def task(worker: int, j0: int, j1: int) -> None:
-                wws = ws.for_worker(worker)
-                wcol = wws.request("fused.col", (n,), INDEX_DTYPE)
-                wscratch = wws.request(
-                    "fused.gather", grad.shape, grad.dtype
-                )
-                for j in range(j0, j1):
-                    self._column(block, starts, j, wcol)
-                    np.take(src, wcol, axis=0, out=wscratch)
-                    np.einsum(
-                        "nf,nf->n", grad, wscratch, out=galpha[:, j]
-                    )
-
-            pool.run_blocks(task, d)
-            self._threaded_reduces += 1
-            return galpha
         col = ws.request("fused.col", (n,), INDEX_DTYPE)
         scratch = ws.request("fused.gather", grad.shape, grad.dtype)
         for j in range(d):

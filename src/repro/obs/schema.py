@@ -62,13 +62,6 @@ METRIC_NAMES = frozenset(
         "buffalo.kernel.workspace_allocs",
         "buffalo.kernel.reduce_calls",
         "buffalo.kernel.dense_fallbacks",
-        # kernel autotuning + threaded execution (kernels/fused.py,
-        # kernels/tuning.py, kernels/parallel.py)
-        "buffalo.kernel.calibration_loaded",
-        "buffalo.kernel.calibration_stale",
-        "buffalo.kernel.calibration_miss",
-        "buffalo.kernel.threaded_reduces",
-        "buffalo.kernel.thread_tasks",
         # out-of-core store (store/feature_store.py, store/prefetch.py)
         "buffalo.store.prefetch_iterations",
         "buffalo.store.peak_resident_bytes",

@@ -19,7 +19,9 @@ import pytest
 
 from repro.config import FLOAT_DTYPE
 from repro.gnn.bucketing import Bucket
+from repro.bench.kernels import make_cutoff_bucket_workload
 from repro.kernels import FusedBackend, ReferenceBackend
+from repro.kernels.fused import DENSE_FALLBACK_ELEMENTS
 from repro.tensor import Tensor
 
 RTOL, ATOL = 1e-5, 1e-6
@@ -195,6 +197,30 @@ class TestDenseFallback:
         backend = FusedBackend()
         backend.bucket_reduce(block, cut, Tensor(feats), "sum")
         assert backend._dense_fallbacks == 1
+
+        # The crossover is a fixed constant: a bucket whose work
+        # (n_edges * feat_dim) reaches it takes the CSR path and is not
+        # counted as a dense fallback; one element of work less stays
+        # dense.
+        degree, feat_dim = 4, 8
+        rows_at = DENSE_FALLBACK_ELEMENTS // (degree * feat_dim)
+        for n_rows, dense in ((rows_at, False), (rows_at - 1, True)):
+            w = make_cutoff_bucket_workload(
+                n_rows=n_rows, degree=degree, feat_dim=feat_dim, seed=5
+            )
+            work = w.bucket.n_edges * feat_dim
+            assert (work < DENSE_FALLBACK_ELEMENTS) is dense
+            backend = FusedBackend()
+            assert backend.dense_fallback_elements == DENSE_FALLBACK_ELEMENTS
+            out, grad = _run(backend, w.block, w.bucket, w.feats, "sum")
+            assert backend._dense_fallbacks == int(dense)
+            # Only the CSR path draws fused scratch from the arena.
+            assert (backend.workspace.allocs == 0) is dense
+            ref_out, ref_grad = _run(
+                ReferenceBackend(), w.block, w.bucket, w.feats, "sum"
+            )
+            np.testing.assert_allclose(out, ref_out, rtol=RTOL, atol=ATOL)
+            np.testing.assert_allclose(grad, ref_grad, rtol=RTOL, atol=ATOL)
 
 
 class TestNumpyFallback:

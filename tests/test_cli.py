@@ -262,6 +262,39 @@ class TestServe:
 
         assert validate_trace_file(str(trace)) > 0
 
+    def test_submits_at_trace_arrival_times(self, capsys, monkeypatch):
+        import time
+
+        from repro.serve import LoadSpec, ServeServer, generate_trace
+
+        started, submitted = [], []
+        start, submit = ServeServer.start, ServeServer.submit
+
+        def timed_start(server):
+            started.append(time.perf_counter())
+            return start(server)
+
+        def timed_submit(server, node):
+            submitted.append(time.perf_counter())
+            return submit(server, node)
+
+        monkeypatch.setattr(ServeServer, "start", timed_start)
+        monkeypatch.setattr(ServeServer, "submit", timed_submit)
+        n, rate = 8, 40.0
+        args = list(self.SMOKE)
+        args[args.index("--requests") + 1] = str(n)
+        assert main(args + ["--rate-hz", str(rate)]) == 0
+        assert f"served {n}/{n} requests" in capsys.readouterr().out
+        # Same seed (0) and node pool as the CLI's generated trace.
+        from repro.datasets import load
+
+        pool = load("cora", scale=0.2, seed=0).train_nodes
+        trace = generate_trace(
+            LoadSpec(n_requests=n, rate_hz=rate, seed=0), pool
+        )
+        assert len(started) == 1 and len(submitted) == n
+        assert submitted[-1] - started[0] >= trace[-1].arrival_s
+
     def test_rejects_bad_knobs(self):
         with pytest.raises(SystemExit):
             main(self.SMOKE + ["--max-batch", "0"])
@@ -354,10 +387,6 @@ class TestExperiment:
 
     def test_split_scaling_registered(self):
         assert "split_scaling" in EXPERIMENTS
-
-    def test_bench_experiment_unknown_name_exits(self):
-        with pytest.raises(SystemExit, match="unknown experiment"):
-            main(["bench", "experiment", "fig99"])
 
     def test_missing_command_exits(self):
         with pytest.raises(SystemExit):
